@@ -64,7 +64,10 @@ def bench_scaling(
     s_fixed: int = 4,
     seed: int = 0,
 ) -> BenchResult:
-    """Median merge timings for an s sweep (at m_fixed) and an m sweep (at s_fixed)."""
+    """Median merge timings for an s sweep (at m_fixed) and an m sweep (at s_fixed).
+
+    Each point's untimed warm-up merge also builds and caches its c-table.
+    """
     rng = np.random.default_rng(seed)
     params = lambda m: MergeParams(m=m, k=1, l=1)
 

@@ -2,10 +2,10 @@
 
 The dual-basis conversion amplifies absolute noise in its inputs by the
 inverse Gram norm, which reaches 1e7 already at degree 12; plain binary64
-table recurrences and contractions leave noise around 1e-12, which lands far
-above the accuracy the control points are tested to. Carrying the recurrences
-and projection sums in double-double keeps every table and coefficient
-correctly rounded, so the surviving error is set by the conditioning alone.
+table recurrences leave noise around 1e-12, far above the accuracy the
+control points are tested to. Carrying the c- and d-table recurrences in
+double-double keeps every table entry correctly rounded. two_prod also works
+elementwise on numpy arrays, for the merge's correctly rounded contraction.
 
 Values are (hi, lo) pairs with hi the rounded sum and |lo| <= ulp(hi)/2.
 All operations are plain float arithmetic in fixed order: deterministic and
@@ -66,8 +66,3 @@ def dd_div_float(ah: float, al: float, b: float):
     # residual (ah + al - q1 * b) / b refines the quotient
     q2 = (((ah - p) - e) + al) / b
     return fast_two_sum(q1, q2)
-
-
-def dd_from_ratio(a: float, b: float):
-    """a / b as a double-double, for exactly representable a and b."""
-    return dd_div_float(a, 0.0, b)

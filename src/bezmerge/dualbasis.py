@@ -12,6 +12,7 @@ closed-form first row and a second-order recurrence in the row index; the
 explicit Gram inverse serves as an independent reference path in the tests.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ class CTable:
         return 0.0
 
 
+@functools.lru_cache(maxsize=None)
 def c_table(m: int, k: int, l: int) -> CTable:
     """Dual-basis coefficient table for parameters (m, k, l).
 
@@ -64,6 +66,9 @@ def c_table(m: int, k: int, l: int) -> CTable:
     so the stored entries are correctly rounded; the table is an explicit Gram
     inverse, and downstream contractions against it amplify any noise here by
     the (large) entry magnitudes.
+
+    Cached per (m, k, l) and shared: coeffs is read-only, and the
+    conditioning warning is logged only when a table is built.
     """
     _check_params(m, k, l)
     size = m - k - l + 1

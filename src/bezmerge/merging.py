@@ -7,15 +7,17 @@ R matching P's derivatives of order < k at t = 0 and order < l at t = 1.
 The constrained controls r_0..r_{k-1} and r_{m-l+1}..r_m follow directly from
 the endpoint-derivative formulas; the free middle block is the orthogonal
 projection of the remainder onto the constrained space, computed in the dual
-Bernstein basis and converted back through the c-table. Everything is done
-componentwise, sharing the c-, d- and binomial tables across coordinates.
-Total cost is O(s m^2).
+Bernstein basis and converted back through the c-table. The projection is
+float64 numpy over the product-integral table and the d-table; only the
+contraction against the c-table (a cancelling Gram inverse) is correctly
+rounded. Total cost is O(s m^2).
 
 merge_oracle solves the same problem through the normal equations with
 quadrature-evaluated moments; it shares only the endpoint formulas with merge
 and exists as an independent cross-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +31,14 @@ from .curves import (
     eval_segment_many,
     forward_difference,
 )
-from .dd import dd_add, dd_div_float, dd_from_ratio, dd_mul_float, two_prod
+from .dd import two_prod
 from .dualbasis import CTable, c_table, gram_matrix
 from .errors import ValidationError
+from .metrics import a_table
 from .quadrature import gauss_legendre_unit
 from .subdivision import DTable, d_table
 
 CONVENTIONS = ("local", "global")
-
-
-def _dd_total(pair) -> float:
-    return pair[0] + pair[1]
 
 
 @dataclass(frozen=True)
@@ -129,27 +128,10 @@ def segment_dual_coeffs(seg: BezierSegment, m: int) -> np.ndarray:
     """Coefficients of the segment in the unconstrained degree-m dual basis.
 
     hat_p[v] = <P, B^m_v> in the segment's local parameter
-             = binom(m,v)/(m+n+1) * sum_q binom(n,q)/binom(m+n, q+v) p_q,
+             = sum_q a[q][v] p_q with a = a_table(n, m),
     so that P = sum_v hat_p[v] D^m_v. Shape (m+1, d); cost O(m n).
     """
-    n = seg.degree
-    pts = seg.points.tolist()
-    dim = seg.dim
-    out = np.empty((m + 1, dim))
-    for v in range(m + 1):
-        weights = [
-            dd_from_ratio(binomial(n, q), binomial(m + n, q + v)) for q in range(n + 1)
-        ]
-        scale = binomial(m, v)
-        for c in range(dim):
-            ah = al = 0.0
-            for q in range(n + 1):
-                wh, wl = weights[q]
-                ph, pl = dd_mul_float(wh, wl, pts[q][c])
-                ah, al = dd_add(ah, al, ph, pl)
-            ah, al = dd_mul_float(ah, al, scale)
-            out[v, c] = _dd_total(dd_div_float(ah, al, float(m + n + 1)))
-    return out
+    return a_table(seg.degree, m).T @ seg.points
 
 
 def dual_mid_coeffs(
@@ -163,63 +145,27 @@ def dual_mid_coeffs(
 ) -> np.ndarray:
     """Dual-basis coefficients hat_r_h (h = k..m-l) of the free middle block.
 
-    hat_r_h = sum_i dt_{i-1} sum_v hat_p^i_v d^{(i)}_{hv}
-              - binom(m,h)/(2m+1) * sum_{v fixed} binom(m,v)/binom(2m, h+v) r_v,
-    where the fixed v are 0..k-1 (head) and m-l+1..m (tail). Accumulated with
-    compensated products: the c-table contraction downstream amplifies absolute
-    noise here by the inverse Gram norm.
+    hat_r_h = sum_i dt_{i-1} sum_v d^{(i)}_{hv} hat_p^i_v
+              - sum_{v fixed} <B^m_h, B^m_v> r_v,
+    where the fixed v are 0..k-1 (head) and m-l+1..m (tail).
     """
-    kn = dtab.partition.knots
-    s = dtab.n_segments
-    dim = hat_ps[0].shape[1]
-    deltas = [float(kn[i + 1] - kn[i]) for i in range(s)]
-    hp_lists = [hp.tolist() for hp in hat_ps]
-    d_lists = [dtab.coeffs[i].tolist() for i in range(s)]
-    head_list = head.tolist()
-    tail_list = tail.tolist()
-    out = np.empty((m - k - l + 1, dim))
-    for h in range(k, m - l + 1):
-        corr_w = [
-            (v, dd_from_ratio(binomial(m, v), binomial(2 * m, h + v)))
-            for v in list(range(k)) + list(range(m - l + 1, m + 1))
-        ]
-        scale_h = binomial(m, h)
-        for c in range(dim):
-            ah = al = 0.0
-            for i in range(s):
-                drow = d_lists[i][h]
-                hp = hp_lists[i]
-                sh = sl = 0.0
-                for v in range(m + 1):
-                    ph, pl = two_prod(hp[v][c], drow[v])
-                    sh, sl = dd_add(sh, sl, ph, pl)
-                sh, sl = dd_mul_float(sh, sl, deltas[i])
-                ah, al = dd_add(ah, al, sh, sl)
-            ch = cl = 0.0
-            for v, (wh, wl) in corr_w:
-                r_v = head_list[v][c] if v < k else tail_list[v - (m - l + 1)][c]
-                ph, pl = dd_mul_float(wh, wl, r_v)
-                ch, cl = dd_add(ch, cl, ph, pl)
-            ch, cl = dd_mul_float(ch, cl, scale_h)
-            ch, cl = dd_div_float(ch, cl, float(2 * m + 1))
-            out[h - k, c] = _dd_total(dd_add(ah, al, -ch, -cl))
-    return out
+    free = slice(k, m - l + 1)
+    fixed = np.r_[0:k, m - l + 1 : m + 1]
+    dts = np.diff(dtab.partition.knots)
+    projected = np.einsum("i,ihv,ivc->hc", dts, dtab.coeffs[:, free], np.asarray(hat_ps))
+    return projected - a_table(m, m)[free, fixed] @ np.vstack([head, tail])
 
 
 def mid_controls(hat_r: np.ndarray, ctab: CTable) -> np.ndarray:
-    """Bernstein controls r_k..r_{m-l} from dual coefficients: r_j = sum_h hat_r_h c[h][j]."""
-    size = hat_r.shape[0]
-    out = np.empty_like(hat_r)
-    hr = hat_r.tolist()
-    c = ctab.coeffs.tolist()
-    for j in range(size):
-        for co in range(hat_r.shape[1]):
-            ah = al = 0.0
-            for h in range(size):
-                ph, pl = two_prod(hr[h][co], c[h][j])
-                ah, al = dd_add(ah, al, ph, pl)
-            out[j, co] = _dd_total((ah, al))
-    return out
+    """Bernstein controls r_k..r_{m-l} from dual coefficients: r_j = sum_h hat_r_h c[h][j].
+
+    Each entry is the correctly rounded exact sum: the c-table's large entries
+    cancel, so a plain float64 contraction would add rounding noise of their size.
+    """
+    size, dim = hat_r.shape
+    prods, errs = two_prod(ctab.coeffs[:, :, None], hat_r[:, None, :])
+    terms = np.concatenate([prods, errs]).reshape(2 * size, size * dim)
+    return np.array([math.fsum(col) for col in terms.T.tolist()]).reshape(size, dim)
 
 
 def _convention_steps(curve: CompositeBezierCurve, params: MergeParams):

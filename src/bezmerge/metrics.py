@@ -46,14 +46,11 @@ def a_table(n: int, m: int) -> np.ndarray:
 
     a[i][j] = binom(n,i) binom(m,j) / ((m+n+1) binom(n+m, i+j)).
     """
-    out = np.empty((n + 1, m + 1))
-    for i in range(n + 1):
-        for j in range(m + 1):
-            out[i, j] = (
-                binomial(n, i) * binomial(m, j)
-                / ((m + n + 1) * binomial(n + m, i + j))
-            )
-    return out
+    b_n = np.array([binomial(n, i) for i in range(n + 1)])
+    b_m = np.array([binomial(m, j) for j in range(m + 1)])
+    b_nm = np.array([binomial(n + m, q) for q in range(n + m + 1)])
+    i_plus_j = np.add.outer(np.arange(n + 1), np.arange(m + 1))
+    return np.outer(b_n, b_m) / ((m + n + 1) * b_nm[i_plus_j])
 
 
 def i_nm(u: np.ndarray, v: np.ndarray, a: np.ndarray) -> float:
@@ -72,12 +69,7 @@ def rho_coeffs(merged: BezierSegment, dtab: DTable) -> np.ndarray:
 
     rho[i][z] = sum_j r_j d^{(i)}_{jz}; shape (s, m+1, d).
     """
-    r = merged.points
-    s = dtab.n_segments
-    out = np.empty((s, r.shape[0], r.shape[1]))
-    for i in range(s):
-        out[i] = dtab.coeffs[i].T @ r
-    return out
+    return np.swapaxes(dtab.coeffs, 1, 2) @ merged.points
 
 
 def l2_error(curve: CompositeBezierCurve, merged: BezierSegment, dtab: DTable) -> float:
@@ -92,6 +84,7 @@ def l2_error(curve: CompositeBezierCurve, merged: BezierSegment, dtab: DTable) -
     a_mm = a_table(m, m)
     a_by_degree = {}
     total = 0.0
+    magnitude = 0.0
     for i, seg in enumerate(curve.segments):
         n = seg.degree
         if n not in a_by_degree:
@@ -99,13 +92,14 @@ def l2_error(curve: CompositeBezierCurve, merged: BezierSegment, dtab: DTable) -
         a_nn, a_nm = a_by_degree[n]
         pi = seg.points
         ri = rho[i]
-        term = (
-            float(np.sum(pi * (a_nn @ pi)))
-            - 2.0 * float(np.sum(pi * (a_nm @ ri)))
-            + float(np.sum(ri * (a_mm @ ri)))
-        )
-        total += (kn[i + 1] - kn[i]) * term
-    if total < -1e-10:
+        i_pp = float(np.sum(pi * (a_nn @ pi)))
+        i_pr = float(np.sum(pi * (a_nm @ ri)))
+        i_rr = float(np.sum(ri * (a_mm @ ri)))
+        dt = kn[i + 1] - kn[i]
+        total += dt * (i_pp - 2.0 * i_pr + i_rr)
+        magnitude += dt * (abs(i_pp) + 2.0 * abs(i_pr) + abs(i_rr))
+    # The terms cancel, so rounding error scales with their size, not the distance.
+    if total < -1e-10 * magnitude:
         raise InternalConsistencyError(
             f"squared L2 distance evaluated to {total:.3e} < 0")
     return float(np.sqrt(max(total, 0.0)))

@@ -92,7 +92,14 @@ class TestCTable:
         with pytest.raises(ParameterError):
             c_table(3, 2, 2)
 
+    def test_cached_table_is_shared_and_read_only(self):
+        table = c_table(12, 2, 1)
+        assert c_table(12, 2, 1) is table
+        with pytest.raises(ValueError):
+            table.coeffs[0, 0] = 0.0
+
     def test_conditioning_warning(self, caplog):
+        c_table.cache_clear()  # the warning is logged when the table is built
         with caplog.at_level(logging.WARNING, logger="bezmerge.dualbasis"):
             c_table(24, 0, 0)
         assert any("cancellation" in r.message for r in caplog.records)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ class TestMidBlock:
         # hat coefficients of u in degree 1 are [1/6, 1/3]; conversion gives [0, 1]
         mid = mid_controls(np.array([[1 / 6], [1 / 3]]), c_table(1, 0, 0))
         np.testing.assert_allclose(mid, [[0.0], [1.0]], atol=1e-15)
+
+    def test_correctly_rounded_at_high_degree(self):
+        # the c-table's alternating entries reach 1e19 at m = 32: only a
+        # correctly rounded contraction matches the exact rational sum
+        rng = np.random.default_rng(23)
+        for m, k, l in [(20, 0, 0), (20, 2, 1), (28, 1, 1), (28, 3, 0), (32, 0, 0), (32, 2, 2)]:
+            ctab = c_table(m, k, l)
+            size = m - k - l + 1
+            hat_r = rng.standard_normal((size, 2))
+            want = [
+                [float(sum(Fraction(ctab.coeffs[h, j]) * Fraction(hat_r[h, co])
+                           for h in range(size))) for co in range(2)]
+                for j in range(size)
+            ]
+            np.testing.assert_array_equal(mid_controls(hat_r, ctab), want)
 
 
 class TestMerge:

@@ -134,6 +134,17 @@ class TestL2Error:
         e2 = l2_error(ampersand, merged, d_table(10, ampersand.partition))
         assert e2 == pytest.approx(9.43e-3, rel=0.02)
 
+    def test_far_from_origin(self):
+        # an exact reproduction cancels terms of size |P|^2 ~ offset^2 down to
+        # rounding noise, which must not read as an inconsistency
+        rng = np.random.default_rng(5)
+        for offset in (1e3, 1e4, 1e5, 1e6):
+            for _ in range(40):
+                seg = BezierSegment(offset + rng.random((4, 2)))
+                curve = CompositeBezierCurve(segments=(seg,), partition=Partition([0.0, 1.0]))
+                merged = merge(curve, MergeParams(m=5, k=1, l=1))
+                assert l2_error(curve, merged, d_table(5, curve.partition)) <= 1e-6 * offset
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(19)
         for _ in range(5):

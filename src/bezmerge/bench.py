@@ -43,13 +43,10 @@ def random_instance(s: int, m: int, rng, segment_degree: int = 3, dim: int = 2):
     return CompositeBezierCurve(segments=tuple(segments), partition=Partition(knots))
 
 
-def _median_merge_time(curve, params, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        merge(curve, params)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+def _merge_seconds(curve, params) -> float:
+    t0 = time.perf_counter()
+    merge(curve, params)
+    return time.perf_counter() - t0
 
 
 def _fit_slope(xs, ts) -> float:
@@ -66,10 +63,14 @@ def bench_scaling(
 ) -> BenchResult:
     """Median merge timings for an s sweep (at m_fixed) and an m sweep (at s_fixed).
 
-    Each point's untimed warm-up merge also builds and caches its c-table.
+    Every point gets one untimed warm-up merge first, which also builds and
+    caches its c-table. The timed repeats then go round-robin over all points,
+    so a host slowdown lands on every point alike instead of tilting the fit.
     """
     rng = np.random.default_rng(seed)
     params = lambda m: MergeParams(m=m, k=1, l=1)
+    points = [(random_instance(s, m_fixed, rng), params(m_fixed)) for s in s_values]
+    points += [(random_instance(s_fixed, m, rng), params(m)) for m in m_values]
 
     # Large-degree sweeps intentionally hit ill-conditioned tables; silence the
     # per-call conditioning warnings for the duration.
@@ -77,19 +78,17 @@ def bench_scaling(
     old_level = dual_log.level
     dual_log.setLevel(logging.ERROR)
     try:
-        s_times = []
-        for s in s_values:
-            curve = random_instance(s, m_fixed, rng)
-            _median_merge_time(curve, params(m_fixed), 1)  # warm caches
-            s_times.append(_median_merge_time(curve, params(m_fixed), repeats))
-
-        m_times = []
-        for m in m_values:
-            curve = random_instance(s_fixed, m, rng)
-            _median_merge_time(curve, params(m), 1)
-            m_times.append(_median_merge_time(curve, params(m), repeats))
+        for curve, p in points:
+            merge(curve, p)
+        times = [[] for _ in points]
+        for _ in range(repeats):
+            for (curve, p), point_times in zip(points, times):
+                point_times.append(_merge_seconds(curve, p))
     finally:
         dual_log.setLevel(old_level)
+
+    medians = [float(np.median(t)) for t in times]
+    s_times, m_times = medians[: len(s_values)], medians[len(s_values) :]
 
     return BenchResult(
         s_values=list(s_values),

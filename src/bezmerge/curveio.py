@@ -34,7 +34,7 @@ from .subdivision import d_table
 PARTITION_MODES = ("auto", "arc", "uniform", "file")
 
 
-@dataclass
+@dataclass(slots=True)
 class CurveDocument:
     """Deserialized curve file: segments plus an optional knot partition."""
 
@@ -168,13 +168,21 @@ def run_merge(
     n_samples: int = DEFAULT_MAX_ERROR_SAMPLES,
     partition_mode: str = "auto",
 ) -> MergeReport:
-    """Full pipeline: build the curve, merge, evaluate both error measures."""
+    """Full pipeline: build the curve, merge, evaluate both error measures.
+
+    One d-table serves both the merge and the L2 error; merge_seconds covers
+    building it.
+    """
     curve = as_composite(doc, partition_mode)
 
     t0 = time.perf_counter()
-    merged = merge(curve, params)
+    try:
+        dtab = d_table(params.m, curve.partition)
+    except ParameterError:
+        # m is out of range: merge then raises ValidationError with every violation.
+        dtab = None
+    merged = merge(curve, params, dtab)
     t1 = time.perf_counter()
-    dtab = d_table(params.m, curve.partition)
     e2 = l2_error(curve, merged, dtab)
     e_inf = max_error(curve, merged, n_samples)
     t2 = time.perf_counter()

@@ -49,7 +49,7 @@ def bernstein_eval(n: int, j: int, u: float) -> float:
     return binomial(n, j) * u**j * (1.0 - u) ** (n - j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BezierSegment:
     """A degree-n Bezier curve over the local parameter u in [0, 1].
 

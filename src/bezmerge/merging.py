@@ -41,7 +41,7 @@ from .subdivision import DTable, d_table
 CONVENTIONS = ("local", "global")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeParams:
     """Target degree m and endpoint continuity orders (k at 0, l at 1).
 
@@ -174,18 +174,28 @@ def _convention_steps(curve: CompositeBezierCurve, params: MergeParams):
     return 1.0, 1.0
 
 
-def merge(curve: CompositeBezierCurve, params: MergeParams) -> BezierSegment:
-    """Merged degree-m curve on [0, 1] minimizing the L2 distance to the input."""
+def merge(
+    curve: CompositeBezierCurve, params: MergeParams, dtab: DTable | None = None
+) -> BezierSegment:
+    """Merged degree-m curve on [0, 1] minimizing the L2 distance to the input.
+
+    dtab, when given, must be d_table(params.m, curve.partition) (ParameterError
+    otherwise) and is used instead of building that table again; the result is
+    the same bit for bit.
+    """
     problems = validate(curve, params)
     if problems:
         raise ValidationError(problems)
     m, k, l = params.m, params.k, params.l
+    if dtab is None:
+        dtab = d_table(m, curve.partition)
+    else:
+        dtab.check_matches(m, curve.partition)
     head_step, tail_step = _convention_steps(curve, params)
 
     head = constrained_head(curve.segments[0], m, k, head_step)
     tail = constrained_tail(curve.segments[-1], m, l, tail_step)
     hat_ps = [segment_dual_coeffs(seg, m) for seg in curve.segments]
-    dtab = d_table(m, curve.partition)
     hat_r = dual_mid_coeffs(hat_ps, dtab, head, tail, m, k, l)
     ctab = c_table(m, k, l)
     mid = mid_controls(hat_r, ctab)

@@ -75,10 +75,13 @@ def rho_coeffs(merged: BezierSegment, dtab: DTable) -> np.ndarray:
 def l2_error(curve: CompositeBezierCurve, merged: BezierSegment, dtab: DTable) -> float:
     """Closed-form L2 distance between the composite curve and the merged curve.
 
+    dtab must be d_table(merged.degree, curve.partition); ParameterError otherwise.
+
     E2^2 = sum_i dt_{i-1} * sum over coordinates of
            [I(pi, pi) - 2 I(pi, rho_i) + I(rho_i, rho_i)].
     """
     m = merged.degree
+    dtab.check_matches(m, curve.partition)
     rho = rho_coeffs(merged, dtab)
     kn = curve.partition.knots
     a_mm = a_table(m, m)

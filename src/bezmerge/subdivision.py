@@ -49,6 +49,15 @@ class DTable:
     def n_segments(self) -> int:
         return self.coeffs.shape[0]
 
+    def check_matches(self, m: int, partition: Partition) -> None:
+        """Raise ParameterError unless this is the table for degree m on these knots."""
+        if self.m != m:
+            raise ParameterError(f"d-table is for degree {self.m}, expected {m}")
+        if not np.array_equal(self.partition.knots, partition.knots):
+            raise ParameterError(
+                f"d-table is for another partition ({self.partition.count} segments) "
+                f"than the curve's ({partition.count} segments)")
+
 
 def d_direct(m: int, j: int, h: int, t_lo: float, t_hi: float) -> float:
     """Single restriction coefficient by the double-subdivision sum.

@@ -8,14 +8,18 @@ from bezmerge import (
     CurveFormatError,
     MergeParams,
     ParameterError,
+    ValidationError,
     as_composite,
+    d_table,
     data_path,
+    l2_error,
     load_curve,
     load_report,
     merge,
     run_merge,
     save_curve,
     save_report,
+    validate,
 )
 from bezmerge.cli import main
 from bezmerge.curveio import CurveDocument
@@ -149,6 +153,26 @@ class TestRunMerge:
         assert loaded.errors.e2 == report.errors.e2
         assert loaded.errors.e_inf == report.errors.e_inf
         assert loaded.partition == report.partition
+
+    @pytest.mark.parametrize("name", ["ampersand.json", "penguin-left.json", "penguin-right.json"])
+    @pytest.mark.parametrize("mkl", [(6, 1, 1), (10, 3, 2), (14, 0, 2)])
+    def test_shared_table_matches_separate_builds(self, name, mkl):
+        doc = load_curve(data_path(name))
+        params = MergeParams(*mkl)
+        report = run_merge(doc, params)
+        curve = as_composite(doc)
+        merged = merge(curve, params)
+        assert report.controls == merged.points.tolist()
+        assert report.errors.e2 == l2_error(curve, merged, d_table(params.m, curve.partition))
+
+    @pytest.mark.parametrize("mkl", [(33, 7, 1), (4, 3, 2)])
+    def test_invalid_params_raise_full_violation_list(self, ampersand_doc, mkl):
+        params = MergeParams(*mkl)
+        expected = validate(as_composite(ampersand_doc), params)
+        assert len(expected) >= 2
+        with pytest.raises(ValidationError) as err:
+            run_merge(ampersand_doc, params)
+        assert err.value.violations == expected
 
     def test_deterministic_apart_from_timing(self, ampersand_doc):
         a = run_merge(ampersand_doc, MergeParams(m=10, k=2, l=2))

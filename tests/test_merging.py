@@ -7,6 +7,7 @@ from bezmerge import (
     BezierSegment,
     CompositeBezierCurve,
     MergeParams,
+    ParameterError,
     Partition,
     ValidationError,
     bernstein_eval,
@@ -300,3 +301,19 @@ class TestMerge:
         merged = merge(curve, MergeParams(m=m, k=2, l=m - 2))
         assert merged.points.shape == (m + 1, 2)
         assert np.all(np.isfinite(merged.points))
+
+    def test_given_table_is_bit_identical(self):
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            curve = random_composite(rng)
+            m, k, l = random_valid_params(rng, curve)
+            params = MergeParams(m=m, k=k, l=l)
+            given = merge(curve, params, d_table(m, curve.partition))
+            np.testing.assert_array_equal(given.points, merge(curve, params).points)
+
+    def test_given_table_must_match(self, ampersand):
+        params = MergeParams(m=10, k=2, l=2)
+        for dtab in (d_table(11, ampersand.partition), d_table(10, Partition([0.0, 0.2, 0.5, 1.0])),
+                     d_table(10, Partition([0.0, 0.5, 1.0]))):
+            with pytest.raises(ParameterError):
+                merge(ampersand, params, dtab)

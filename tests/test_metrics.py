@@ -7,6 +7,7 @@ from bezmerge import (
     DegenerateSegmentError,
     ErrorReport,
     MergeParams,
+    ParameterError,
     Partition,
     a_table,
     arc_length_partition,
@@ -133,6 +134,14 @@ class TestL2Error:
         merged = merge(ampersand, MergeParams(m=10, k=2, l=2))
         e2 = l2_error(ampersand, merged, d_table(10, ampersand.partition))
         assert e2 == pytest.approx(9.43e-3, rel=0.02)
+
+    def test_table_must_match(self, ampersand):
+        # other knots of the same count would silently give 0.451 instead of 0.0198
+        merged = merge(ampersand, MergeParams(m=10, k=3, l=2))
+        for dtab in (d_table(10, Partition([0.0, 0.2, 0.5, 1.0])), d_table(9, ampersand.partition),
+                     d_table(10, Partition([0.0, 0.5, 1.0]))):
+            with pytest.raises(ParameterError):
+                l2_error(ampersand, merged, dtab)
 
     def test_far_from_origin(self):
         # an exact reproduction cancels terms of size |P|^2 ~ offset^2 down to

@@ -29,7 +29,6 @@ from .metrics import (
     l2_error,
     max_error,
 )
-from .subdivision import d_table
 
 PARTITION_MODES = ("auto", "arc", "uniform", "file")
 
@@ -168,22 +167,13 @@ def run_merge(
     n_samples: int = DEFAULT_MAX_ERROR_SAMPLES,
     partition_mode: str = "auto",
 ) -> MergeReport:
-    """Full pipeline: build the curve, merge, evaluate both error measures.
-
-    One d-table serves both the merge and the L2 error; merge_seconds covers
-    building it.
-    """
+    """Full pipeline: build the curve, merge, evaluate both error measures."""
     curve = as_composite(doc, partition_mode)
 
     t0 = time.perf_counter()
-    try:
-        dtab = d_table(params.m, curve.partition)
-    except ParameterError:
-        # m is out of range: merge then raises ValidationError with every violation.
-        dtab = None
-    merged = merge(curve, params, dtab)
+    merged = merge(curve, params)
     t1 = time.perf_counter()
-    e2 = l2_error(curve, merged, dtab)
+    e2 = l2_error(curve, merged)
     e_inf = max_error(curve, merged, n_samples)
     t2 = time.perf_counter()
 

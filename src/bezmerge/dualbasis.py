@@ -62,10 +62,11 @@ def c_table(m: int, k: int, l: int) -> CTable:
 
     Row i = k comes from the closed form; each next row follows from the
     three-term recurrence, reading only the two previous rows. With k + l = m
-    the table is the single starting entry. Rows are carried in double-double
-    so the stored entries are correctly rounded; the table is an explicit Gram
-    inverse, and downstream contractions against it amplify any noise here by
-    the (large) entry magnitudes.
+    the table is the single starting entry. Rows are carried in double-double:
+    contractions against this explicit Gram inverse amplify its noise by the
+    (large) entry magnitudes. Against the exact inverse (k, l in 0..3) every
+    entry is correctly rounded through m = 24; at m = 28, 10 of 10856 are
+    1 ulp off, at m = 32, 235 of 14440, the worst by 3.3e-14 relative.
 
     Cached per (m, k, l) and shared: coeffs is read-only, and the
     conditioning warning is logged only when a table is built.

@@ -174,23 +174,13 @@ def _convention_steps(curve: CompositeBezierCurve, params: MergeParams):
     return 1.0, 1.0
 
 
-def merge(
-    curve: CompositeBezierCurve, params: MergeParams, dtab: DTable | None = None
-) -> BezierSegment:
-    """Merged degree-m curve on [0, 1] minimizing the L2 distance to the input.
-
-    dtab, when given, must be d_table(params.m, curve.partition) (ParameterError
-    otherwise) and is used instead of building that table again; the result is
-    the same bit for bit.
-    """
+def merge(curve: CompositeBezierCurve, params: MergeParams) -> BezierSegment:
+    """Merged degree-m curve on [0, 1] minimizing the L2 distance to the input."""
     problems = validate(curve, params)
     if problems:
         raise ValidationError(problems)
     m, k, l = params.m, params.k, params.l
-    if dtab is None:
-        dtab = d_table(m, curve.partition)
-    else:
-        dtab.check_matches(m, curve.partition)
+    dtab = d_table(m, curve.partition)
     head_step, tail_step = _convention_steps(curve, params)
 
     head = constrained_head(curve.segments[0], m, k, head_step)

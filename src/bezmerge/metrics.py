@@ -1,13 +1,15 @@
 """Approximation errors between a composite curve and its merged replacement.
 
-The L2 distance has a closed form in the control points: re-express the merged
-curve in each segment's local Bernstein basis (through the subdivision table),
-then every cross term is a bilinear form in the Bernstein product-integral
-coefficients a[i][j] = <B^n_i, B^m_j>. The maximum error is sampled on a
+The L2 distance has a closed form in the control points: restrict the merged
+curve to each knot interval by subdivision, raise it and the segment to one
+degree, and the squared distance is a quadratic form in their control-point
+difference over the Bernstein product-integral coefficients
+a[i][j] = <B^n_i, B^m_j>. The maximum error is sampled on a
 uniform parameter grid. The arc-length partition places knots proportionally
 to cumulative segment lengths.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,6 @@ from .curves import (
 )
 from .errors import DegenerateSegmentError, InternalConsistencyError
 from .quadrature import gauss_legendre_unit
-from .subdivision import DTable
 
 DEFAULT_MAX_ERROR_SAMPLES = 500
 _ARC_LENGTH_NODES = 32
@@ -41,16 +42,22 @@ class ErrorReport:
             raise ValueError("error measures must be nonnegative")
 
 
+@functools.lru_cache(maxsize=None)
+def _pascal(m: int) -> np.ndarray:
+    """Read-only (m+1, m+1) table of binom(h, j), zero for j > h."""
+    tri = np.array([[binomial(h, j) for j in range(m + 1)] for h in range(m + 1)])
+    tri.flags.writeable = False
+    return tri
+
+
 def a_table(n: int, m: int) -> np.ndarray:
     """Product-integral coefficients a[i][j] = <B^n_i, B^m_j>, shape (n+1, m+1).
 
     a[i][j] = binom(n,i) binom(m,j) / ((m+n+1) binom(n+m, i+j)).
     """
-    b_n = np.array([binomial(n, i) for i in range(n + 1)])
-    b_m = np.array([binomial(m, j) for j in range(m + 1)])
-    b_nm = np.array([binomial(n + m, q) for q in range(n + m + 1)])
+    tri = _pascal(n + m)
     i_plus_j = np.add.outer(np.arange(n + 1), np.arange(m + 1))
-    return np.outer(b_n, b_m) / ((m + n + 1) * b_nm[i_plus_j])
+    return np.outer(tri[n, : n + 1], tri[m, : m + 1]) / ((m + n + 1) * tri[n + m, i_plus_j])
 
 
 def i_nm(u: np.ndarray, v: np.ndarray, a: np.ndarray) -> float:
@@ -64,44 +71,62 @@ def i_nm(u: np.ndarray, v: np.ndarray, a: np.ndarray) -> float:
     return float(u @ a @ v)
 
 
-def rho_coeffs(merged: BezierSegment, dtab: DTable) -> np.ndarray:
+def _left_split(x: np.ndarray, m: int) -> np.ndarray:
+    """Matrices B^h_j(x), shape (len(x), m+1, m+1), taking degree-m controls to
+    those of the same curve on [0, x] (de Casteljau; nonnegative weights)."""
+    powers = np.arange(m + 1)
+    x_pow = x[:, None] ** powers
+    y_pow = (1.0 - x)[:, None] ** powers
+    # Above the diagonal h - j < 0 reads a wrapped power that the zero binomial masks.
+    return _pascal(m) * x_pow[:, None, :] * y_pow[:, np.subtract.outer(powers, powers)]
+
+
+@functools.lru_cache(maxsize=None)
+def _lift(n: int, q: int) -> np.ndarray:
+    """Read-only degree-raising matrix from n to q >= n, shape (q+1, n+1), weights >= 0."""
+    tri = _pascal(q)
+    h, j = np.ogrid[: q + 1, : n + 1]
+    # h - j < 0 reads a wrapped column past row q - n's diagonal, which is zero.
+    lift = tri[q - n, h - j] * tri[n, j] / tri[q, h]
+    lift.flags.writeable = False
+    return lift
+
+
+def rho_coeffs(merged: BezierSegment, partition: Partition) -> np.ndarray:
     """Merged-curve controls re-expressed in each segment's local basis.
 
-    rho[i][z] = sum_j r_j d^{(i)}_{jz}; shape (s, m+1, d).
-    """
-    return np.swapaxes(dtab.coeffs, 1, 2) @ merged.points
-
-
-def l2_error(curve: CompositeBezierCurve, merged: BezierSegment, dtab: DTable) -> float:
-    """Closed-form L2 distance between the composite curve and the merged curve.
-
-    dtab must be d_table(merged.degree, curve.partition); ParameterError otherwise.
-
-    E2^2 = sum_i dt_{i-1} * sum over coordinates of
-           [I(pi, pi) - 2 I(pi, rho_i) + I(rho_i, rho_i)].
+    Row i holds the controls of the merged curve restricted to the knot interval
+    [t_i, t_{i+1}], shape (s, m+1, d): split at t_{i+1}, then keep the part of
+    [0, t_{i+1}] past t_i, i.e. the reversed left split at dt_i / t_{i+1}.
     """
     m = merged.degree
-    dtab.check_matches(m, curve.partition)
-    rho = rho_coeffs(merged, dtab)
-    kn = curve.partition.knots
-    a_mm = a_table(m, m)
-    a_by_degree = {}
-    total = 0.0
-    magnitude = 0.0
-    for i, seg in enumerate(curve.segments):
-        n = seg.degree
-        if n not in a_by_degree:
-            a_by_degree[n] = (a_table(n, n), a_table(n, m))
-        a_nn, a_nm = a_by_degree[n]
-        pi = seg.points
-        ri = rho[i]
-        i_pp = float(np.sum(pi * (a_nn @ pi)))
-        i_pr = float(np.sum(pi * (a_nm @ ri)))
-        i_rr = float(np.sum(ri * (a_mm @ ri)))
-        dt = kn[i + 1] - kn[i]
-        total += dt * (i_pp - 2.0 * i_pr + i_rr)
-        magnitude += dt * (abs(i_pp) + 2.0 * abs(i_pr) + abs(i_rr))
-    # The terms cancel, so rounding error scales with their size, not the distance.
+    kn = partition.knots
+    to_hi = _left_split(kn[1:], m) @ merged.points
+    from_lo = _left_split(np.diff(kn) / kn[1:], m)[:, ::-1, ::-1]
+    return from_lo @ to_hi
+
+
+def l2_error(curve: CompositeBezierCurve, merged: BezierSegment) -> float:
+    """Closed-form L2 distance between the composite curve and the merged curve.
+
+    On each knot interval both curves are raised to one degree
+    q = max(m, n_max) and subtracted control by control, so no large terms cancel:
+
+    E2^2 = sum_i dt_i * sum over coordinates of x_i^T A x_i,
+
+    with x_i the control-point difference on interval i and A = a_table(q, q).
+    """
+    m = merged.degree
+    q = max(m, curve.max_degree)
+    rho = _lift(m, q) @ rho_coeffs(merged, curve.partition)
+    diffs = np.stack([_lift(seg.degree, q) @ seg.points for seg in curve.segments]) - rho
+    a_qq = a_table(q, q)
+    dts = np.diff(curve.partition.knots)
+    total = float(dts @ np.sum(diffs * (a_qq @ diffs), axis=(1, 2)))
+    size = np.abs(diffs)
+    magnitude = float(dts @ np.sum(size * (a_qq @ size), axis=(1, 2)))
+    # A is a rounded, ill-conditioned Gram matrix: the form can dip below zero
+    # by rounding noise relative to |x|^T A |x|, but not further.
     if total < -1e-10 * magnitude:
         raise InternalConsistencyError(
             f"squared L2 distance evaluated to {total:.3e} < 0")

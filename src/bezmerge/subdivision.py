@@ -15,10 +15,11 @@ B^m_j(t_{i-1}) and solves the identity for d[j][h+1], filling a block in
 O(m^2), O(s m^2) overall. Sweeping columns this way multiplies by dt <= 1 and
 divides only by m - h >= 1; solving the same identity for d[j+1][h] instead (a
 row sweep) divides by dt and loses the table entirely for narrow subintervals
-already at moderate degrees. The sweep accumulates in double-double so the
-stored entries are correctly rounded; downstream, the dual projection
-amplifies any table noise by the inverse Gram norm, which plain binary64
-sweeps do not survive.
+already at moderate degrees. The sweep accumulates in double-double, since the
+dual projection amplifies table noise by the inverse Gram norm. Against exact
+rationals (m <= 32, random and 1e-6/1e-7-wide intervals) every entry is within
+2e-21 of exact; entries from 1e-6 up are correctly rounded bar 2 in 10^4 at
+m = 32 (3 ulp), and entries that should be zero hold up to 1.3e-24.
 
 d_direct is the O(m)-per-entry double-subdivision sum, cancellation-free and
 used as the reference path in tests.
@@ -48,15 +49,6 @@ class DTable:
     @property
     def n_segments(self) -> int:
         return self.coeffs.shape[0]
-
-    def check_matches(self, m: int, partition: Partition) -> None:
-        """Raise ParameterError unless this is the table for degree m on these knots."""
-        if self.m != m:
-            raise ParameterError(f"d-table is for degree {self.m}, expected {m}")
-        if not np.array_equal(self.partition.knots, partition.knots):
-            raise ParameterError(
-                f"d-table is for another partition ({self.partition.count} segments) "
-                f"than the curve's ({partition.count} segments)")
 
 
 def d_direct(m: int, j: int, h: int, t_lo: float, t_hi: float) -> float:

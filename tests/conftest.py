@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,16 @@ from bezmerge import (
     data_path,
     load_curve,
 )
+
+
+@pytest.fixture(scope="session")
+def exact():
+    """perfbench/exact.py, the exact rational reference (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+    spec = importlib.util.spec_from_file_location("perfbench_exact", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

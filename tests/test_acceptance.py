@@ -79,7 +79,7 @@ EINF_RTOL = 0.05
 def check_rows(curve, rows):
     for m, k, l, e2_ref, einf_ref in rows:
         merged = merge(curve, MergeParams(m=m, k=k, l=l))
-        e2 = l2_error(curve, merged, d_table(m, curve.partition))
+        e2 = l2_error(curve, merged)
         e_inf = max_error(curve, merged, 500)
         assert e2 == pytest.approx(e2_ref, rel=E2_RTOL), (m, k, l, "e2")
         assert e_inf == pytest.approx(einf_ref, rel=EINF_RTOL), (m, k, l, "e_inf")
@@ -127,7 +127,7 @@ def test_criterion_4_oracle_equivalence():
         worst_ctrl = max(worst_ctrl, float(
             np.max(np.abs(merged.points - reference.points) / scale)))
 
-        e2 = l2_error(curve, merged, d_table(m, curve.partition))
+        e2 = l2_error(curve, merged)
         nodes, weights = gauss_legendre_unit(m + 4)
         kn = curve.partition.knots
         acc = 0.0
@@ -213,7 +213,7 @@ def test_criterion_7_monotonicity(ampersand):
     errors = []
     for m in (8, 10, 12):
         merged = merge(ampersand, MergeParams(m=m, k=2, l=1))
-        errors.append(l2_error(ampersand, merged, d_table(m, ampersand.partition)))
+        errors.append(l2_error(ampersand, merged))
     assert errors[0] > errors[1] > errors[2]
     print(f"\nACCEPTANCE 7 (L2 error decreases with degree: "
           f"{errors[0]:.2e} > {errors[1]:.2e} > {errors[2]:.2e}): PASS")

@@ -92,6 +92,15 @@ class TestCTable:
         with pytest.raises(ParameterError):
             c_table(3, 2, 2)
 
+    @pytest.mark.parametrize("m, rel_bound", [(24, 0.0), (32, 1e-13)])
+    def test_rounding_against_exact_inverse(self, exact, m, rel_bound):
+        # every entry is correctly rounded through m = 24; at m = 32 a few are not
+        for k, l in ((0, 0), (0, 1), (1, 3), (2, 2), (3, 3)):
+            inverse, lam = exact.free_gram_inverse(m, k, l)
+            want = np.array([[x / lam for x in row] for row in inverse])
+            got = c_table(m, k, l).coeffs
+            assert np.max(np.abs(got - want) / np.abs(want)) <= rel_bound, (k, l)
+
     def test_cached_table_is_shared_and_read_only(self):
         table = c_table(12, 2, 1)
         assert c_table(12, 2, 1) is table

@@ -10,7 +10,6 @@ from bezmerge import (
     ParameterError,
     ValidationError,
     as_composite,
-    d_table,
     data_path,
     l2_error,
     load_curve,
@@ -163,7 +162,7 @@ class TestRunMerge:
         curve = as_composite(doc)
         merged = merge(curve, params)
         assert report.controls == merged.points.tolist()
-        assert report.errors.e2 == l2_error(curve, merged, d_table(params.m, curve.partition))
+        assert report.errors.e2 == l2_error(curve, merged)
 
     @pytest.mark.parametrize("mkl", [(33, 7, 1), (4, 3, 2)])
     def test_invalid_params_raise_full_violation_list(self, ampersand_doc, mkl):

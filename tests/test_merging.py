@@ -7,7 +7,6 @@ from bezmerge import (
     BezierSegment,
     CompositeBezierCurve,
     MergeParams,
-    ParameterError,
     Partition,
     ValidationError,
     bernstein_eval,
@@ -178,7 +177,7 @@ class TestMerge:
         curve = CompositeBezierCurve(segments=(seg,), partition=Partition([0.0, 1.0]))
         merged = merge(curve, MergeParams(m=m, k=0, l=0))
         np.testing.assert_allclose(merged.points, seg.points, atol=1e-10)
-        e2 = l2_error(curve, merged, d_table(m, curve.partition))
+        e2 = l2_error(curve, merged)
         assert e2 <= 1e-10
 
     def test_against_oracle_two_cubics(self):
@@ -220,14 +219,13 @@ class TestMerge:
         curve = random_composite(rng, max_segments=3, max_degree=4, dims=(2,))
         m, k, l = 8, 1, 1
         merged = merge(curve, MergeParams(m=m, k=k, l=l))
-        dtab = d_table(m, curve.partition)
-        base = l2_error(curve, merged, dtab) ** 2
+        base = l2_error(curve, merged) ** 2
         for j in range(k, m - l + 1):
             for c in range(curve.dim):
                 for delta in (1e-3, -1e-3):
                     perturbed = np.array(merged.points)
                     perturbed[j, c] += delta
-                    e2 = l2_error(curve, BezierSegment(perturbed), dtab) ** 2
+                    e2 = l2_error(curve, BezierSegment(perturbed)) ** 2
                     assert e2 > base
 
     def test_endpoint_interpolation_exact(self, ampersand):
@@ -260,7 +258,7 @@ class TestMerge:
         errors = []
         for m in (6, 8, 10, 12):
             merged = merge(curve, MergeParams(m=m, k=1, l=1))
-            errors.append(l2_error(curve, merged, d_table(m, curve.partition)))
+            errors.append(l2_error(curve, merged))
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-12
 
@@ -301,19 +299,3 @@ class TestMerge:
         merged = merge(curve, MergeParams(m=m, k=2, l=m - 2))
         assert merged.points.shape == (m + 1, 2)
         assert np.all(np.isfinite(merged.points))
-
-    def test_given_table_is_bit_identical(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            curve = random_composite(rng)
-            m, k, l = random_valid_params(rng, curve)
-            params = MergeParams(m=m, k=k, l=l)
-            given = merge(curve, params, d_table(m, curve.partition))
-            np.testing.assert_array_equal(given.points, merge(curve, params).points)
-
-    def test_given_table_must_match(self, ampersand):
-        params = MergeParams(m=10, k=2, l=2)
-        for dtab in (d_table(11, ampersand.partition), d_table(10, Partition([0.0, 0.2, 0.5, 1.0])),
-                     d_table(10, Partition([0.0, 0.5, 1.0]))):
-            with pytest.raises(ParameterError):
-                merge(ampersand, params, dtab)

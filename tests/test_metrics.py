@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from bezmerge import (
     DegenerateSegmentError,
     ErrorReport,
     MergeParams,
-    ParameterError,
     Partition,
     a_table,
     arc_length_partition,
@@ -86,21 +88,19 @@ class TestRhoCoeffs:
     def test_identity_partition(self):
         rng = np.random.default_rng(14)
         merged = BezierSegment(rng.random((7, 2)))
-        dtab = d_table(6, Partition([0.0, 1.0]))
-        rho = rho_coeffs(merged, dtab)
+        rho = rho_coeffs(merged, Partition([0.0, 1.0]))
         np.testing.assert_allclose(rho[0], merged.points, atol=1e-15)
 
     def test_constant_curve(self):
         merged = BezierSegment(np.full((5, 2), 2.5))
-        dtab = d_table(4, Partition([0.0, 0.3, 0.8, 1.0]))
-        rho = rho_coeffs(merged, dtab)
+        rho = rho_coeffs(merged, Partition([0.0, 0.3, 0.8, 1.0]))
         np.testing.assert_allclose(rho, np.full((3, 5, 2), 2.5), atol=1e-12)
 
     def test_reevaluation_oracle(self):
         rng = np.random.default_rng(15)
         merged = BezierSegment(rng.random((9, 2)))
         part = Partition([0.0, 0.22, 0.9, 1.0])
-        rho = rho_coeffs(merged, d_table(8, part))
+        rho = rho_coeffs(merged, part)
         kn = part.knots
         for i in range(3):
             local = BezierSegment(rho[i])
@@ -111,14 +111,27 @@ class TestRhoCoeffs:
 
     def test_endpoint_rows(self, ampersand):
         merged = merge(ampersand, MergeParams(m=8, k=1, l=1))
-        dtab = d_table(8, ampersand.partition)
-        rho = rho_coeffs(merged, dtab)
+        rho = rho_coeffs(merged, ampersand.partition)
         kn = ampersand.partition.knots
         for i in range(ampersand.n_segments):
             np.testing.assert_allclose(
                 rho[i][0], eval_segment(merged, float(kn[i])), atol=1e-10)
             np.testing.assert_allclose(
                 rho[i][-1], eval_segment(merged, float(kn[i + 1])), atol=1e-10)
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    def test_matches_d_table(self, m):
+        rng = np.random.default_rng(m)
+        for knots in (
+            np.concatenate([[0.0], np.sort(rng.random(5)), [1.0]]),
+            [0.0, 1e-7, 0.4, 1.0 - 1e-6, 1.0],
+            [0.0, 1e-6, 0.3, 0.3 + 1e-7, 0.7, 0.7 + 1e-6, 1.0 - 1e-7, 1.0],
+        ):
+            part = Partition(knots)
+            r = rng.normal(size=(m + 1, 2)) * 10.0 ** rng.integers(-3, 4)
+            want = np.swapaxes(d_table(m, part).coeffs, 1, 2) @ r
+            got = rho_coeffs(BezierSegment(r), part)
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(r))
 
 
 class TestL2Error:
@@ -128,20 +141,12 @@ class TestL2Error:
         seg = BezierSegment(rng.random((m + 1, 2)))
         curve = CompositeBezierCurve(segments=(seg,), partition=Partition([0.0, 1.0]))
         merged = merge(curve, MergeParams(m=m, k=0, l=0))
-        assert l2_error(curve, merged, d_table(m, curve.partition)) <= 1e-10
+        assert l2_error(curve, merged) <= 1e-10
 
     def test_ampersand_published_value(self, ampersand):
         merged = merge(ampersand, MergeParams(m=10, k=2, l=2))
-        e2 = l2_error(ampersand, merged, d_table(10, ampersand.partition))
+        e2 = l2_error(ampersand, merged)
         assert e2 == pytest.approx(9.43e-3, rel=0.02)
-
-    def test_table_must_match(self, ampersand):
-        # other knots of the same count would silently give 0.451 instead of 0.0198
-        merged = merge(ampersand, MergeParams(m=10, k=3, l=2))
-        for dtab in (d_table(10, Partition([0.0, 0.2, 0.5, 1.0])), d_table(9, ampersand.partition),
-                     d_table(10, Partition([0.0, 0.5, 1.0]))):
-            with pytest.raises(ParameterError):
-                l2_error(ampersand, merged, dtab)
 
     def test_far_from_origin(self):
         # an exact reproduction cancels terms of size |P|^2 ~ offset^2 down to
@@ -152,7 +157,22 @@ class TestL2Error:
                 seg = BezierSegment(offset + rng.random((4, 2)))
                 curve = CompositeBezierCurve(segments=(seg,), partition=Partition([0.0, 1.0]))
                 merged = merge(curve, MergeParams(m=5, k=1, l=1))
-                assert l2_error(curve, merged, d_table(5, curve.partition)) <= 1e-6 * offset
+                assert l2_error(curve, merged) <= 1e-6 * offset
+
+    def test_against_exact_at_high_degree(self, exact):
+        # the squared distance to P raised exactly to degree m, in rationals;
+        # subtracting three large integrals here loses up to 1e-2 relative
+        rng = np.random.default_rng(0)
+        for n, m, k, l in ((3, 20, 1, 0), (5, 20, 2, 2), (3, 24, 1, 1), (5, 24, 0, 3),
+                           (3, 20, 0, 0), (5, 24, 3, 3), (3, 24, 2, 1), (5, 20, 1, 0)):
+            p = rng.random((n + 1, 2))
+            curve = CompositeBezierCurve(segments=(BezierSegment(p),), partition=Partition([0.0, 1.0]))
+            merged = merge(curve, MergeParams(m=m, k=k, l=l))
+            raised = [[sum(Fraction(comb(n, j) * comb(m - n, h - j), comb(m, h)) * Fraction(p[j, c])
+                           for j in range(max(0, h - m + n), min(n, h) + 1))
+                       for c in range(2)] for h in range(m + 1)]
+            want = float(exact.l2_distance_sq(merged.points.tolist(), raised, m))
+            assert l2_error(curve, merged) ** 2 == pytest.approx(want, rel=1e-9, abs=0.0), (n, m, k, l)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(19)
@@ -162,7 +182,7 @@ class TestL2Error:
                 continue
             m = max(6, curve.max_degree)
             merged = merge(curve, MergeParams(m=m, k=1, l=1))
-            e2 = l2_error(curve, merged, d_table(m, curve.partition))
+            e2 = l2_error(curve, merged)
             nodes, weights = gauss_legendre_unit(m + 4)
             kn = curve.partition.knots
             acc = 0.0
@@ -195,7 +215,7 @@ class TestMaxError:
 
     def test_exceeds_l2(self, ampersand):
         merged = merge(ampersand, MergeParams(m=8, k=2, l=1))
-        e2 = l2_error(ampersand, merged, d_table(8, ampersand.partition))
+        e2 = l2_error(ampersand, merged)
         assert max_error(ampersand, merged, 500) >= e2
 
     def test_samples_validation(self, ampersand):
@@ -247,7 +267,7 @@ class TestErrorReport:
 
     def test_consistency_on_fixture(self, ampersand):
         merged = merge(ampersand, MergeParams(m=10, k=2, l=1))
-        e2 = l2_error(ampersand, merged, d_table(10, ampersand.partition))
+        e2 = l2_error(ampersand, merged)
         e_inf = max_error(ampersand, merged, 500)
         report = ErrorReport(e2=e2, e_inf=e_inf, samples=500)
         assert report.e2 <= report.e_inf

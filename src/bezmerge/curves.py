@@ -5,6 +5,7 @@ points as an immutable (n+1, d) array. A composite curve maps s segments onto
 consecutive subintervals of [0, 1] given by a knot partition.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,29 +16,18 @@ from .errors import DegreeBoundError, DomainError
 # Degrees above 32 are rejected: the dual-basis coefficients grow so fast with
 # the degree that binary64 results become meaningless well before 64.
 MAX_DEGREE = 32
-# Binomials are needed up to 2m+1 for the dual-basis starting row.
+# Binomial and Bernstein orders up to 2m + 2 are accepted; a_table(m, m) reads 2m.
 _MAX_BINOMIAL_N = 2 * MAX_DEGREE + 2
-
-# Pascal triangle, grown on demand. Rows are exact in binary64 through n = 56
-# (entries stay below 2^53); beyond that each addition is correctly rounded,
-# keeping ~1e-16 relative accuracy.
-_PASCAL = [[1.0]]
 
 
 def binomial(n: int, k: int) -> float:
-    """binom(n, k) from a cached Pascal triangle; 0.0 when k < 0 or k > n."""
+    """binom(n, k), correctly rounded to float; 0.0 when k < 0 or k > n."""
     if n < 0 or n > _MAX_BINOMIAL_N:
         raise DegreeBoundError(
             f"binomial order {n} outside supported range [0, {_MAX_BINOMIAL_N}]")
     if k < 0 or k > n:
         return 0.0
-    while len(_PASCAL) <= n:
-        prev = _PASCAL[-1]
-        row = [1.0] * (len(prev) + 1)
-        for i in range(1, len(prev)):
-            row[i] = prev[i - 1] + prev[i]
-        _PASCAL.append(row)
-    return _PASCAL[n][k]
+    return float(math.comb(n, k))
 
 
 def bernstein_eval(n: int, j: int, u: float) -> float:

@@ -1,12 +1,9 @@
 """Double-double scalar arithmetic (pairs of floats, ~31 significant digits).
 
-The dual-basis conversion amplifies absolute noise in its inputs by the
-inverse Gram norm, which reaches 1e7 already at degree 12; plain binary64
-table recurrences leave noise around 1e-12, far above the accuracy the
-control points are tested to. Carrying the c- and d-table recurrences in
-double-double keeps the c-table correctly rounded through degree 24 and every
-d-table entry within 2e-21 of exact. two_prod also works elementwise on numpy
-arrays, for the merge's correctly rounded contraction.
+The d-table's column recurrence is unstable in plain binary64; carrying it in
+double-double keeps every d-table entry within 2e-21 of exact. two_prod also
+works elementwise on numpy arrays, for the merge's contraction against the
+c-table (which is built on exact integers and needs none of this).
 
 Values are (hi, lo) pairs with hi the rounded sum and |lo| <= ulp(hi)/2.
 All operations are plain float arithmetic in fixed order: deterministic and

@@ -8,24 +8,25 @@ L2 inner product on [0, 1] has a Bernstein expansion
 
 equivalently: the matrix c is the inverse of the Gram matrix of the spanning
 Bernstein polynomials. c is computed row by row, O((m-k-l)^2) total, from a
-closed-form first row and a second-order recurrence in the row index; the
-explicit Gram inverse serves as an independent reference path in the tests.
+closed-form first row and a second-order recurrence in the row index, in exact
+integer arithmetic; the explicit Gram inverse serves as an independent
+reference path in the tests.
 """
 
 import functools
 import logging
 from dataclasses import dataclass
+from math import comb, lcm
 
 import numpy as np
 
 from .curves import MAX_DEGREE, bernstein_eval, binomial
-from .dd import dd_add, dd_div_float, dd_mul_float
 from .errors import ParameterError
 
 log = logging.getLogger(__name__)
 
-# Gram-inverse entries grow roughly like 16^m; above this magnitude binary64
-# results carry noticeably fewer than 8 significant digits.
+# Gram-inverse entries grow roughly like 16^m; merged curves lose about
+# log10(peak) / 2 of binary64's 16 digits, 6 at this threshold.
 CONDITION_WARN_THRESHOLD = 1e12
 
 
@@ -40,20 +41,29 @@ def _check_params(m: int, k: int, l: int) -> None:
 class CTable:
     """Bernstein coefficients of the constrained dual basis.
 
-    coeffs[i - k, j - k] holds c[i][j] for i, j in [k, m - l]; every logical
-    index outside that square is zero by convention, which `value` implements.
+    coeffs[i - k, j - k] holds c[i][j] for i, j in [k, m - l], correctly
+    rounded; lo holds the correctly rounded remainder c[i][j] - coeffs[i - k, j - k],
+    so coeffs + lo carries about 106 bits of each entry. Every logical index
+    outside that square is zero by convention, which `value` implements.
     """
 
     m: int
     k: int
     l: int
     coeffs: np.ndarray
+    lo: np.ndarray
 
     def value(self, i: int, j: int) -> float:
-        lo, hi = self.k, self.m - self.l
-        if lo <= i <= hi and lo <= j <= hi:
-            return float(self.coeffs[i - lo, j - lo])
+        first, last = self.k, self.m - self.l
+        if first <= i <= last and first <= j <= last:
+            return float(self.coeffs[i - first, j - first])
         return 0.0
+
+
+def _read_only(rows: list) -> np.ndarray:
+    arr = np.array(rows, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,73 +72,56 @@ def c_table(m: int, k: int, l: int) -> CTable:
 
     Row i = k comes from the closed form; each next row follows from the
     three-term recurrence, reading only the two previous rows. With k + l = m
-    the table is the single starting entry. Rows are carried in double-double:
-    contractions against this explicit Gram inverse amplify its noise by the
-    (large) entry magnitudes. Against the exact inverse (k, l in 0..3) every
-    entry is correctly rounded through m = 24; at m = 28, 10 of 10856 are
-    1 ulp off, at m = 32, 235 of 14440, the worst by 3.3e-14 relative.
+    the table is the single starting entry. The recurrence runs on Python
+    integers: row i is held exactly as N_i / D_i. Multiplied through by
+    e = lcm(1..m+1), its coefficients A(u) = a(u)/(u+1) and B(u) = b(u)/(u-m-1)
+    are integers, and D_{i+1} = D_i * e A(i). Each entry of coeffs and lo is one
+    int true division, hence correctly rounded.
 
-    Cached per (m, k, l) and shared: coeffs is read-only, and the
+    Cached per (m, k, l) and shared: coeffs and lo are read-only, and the
     conditioning warning is logged only when a table is built.
     """
     _check_params(m, k, l)
-    size = m - k - l + 1
-    hi = [[0.0] * size for _ in range(size)]
-    lo = [[0.0] * size for _ in range(size)]
+    cols = range(k, m - l + 1)
+    den = comb(m, k) * lcm(*(comb(m, j) for j in cols))
+    row = [(-1) ** (j - k) * (2 * k + 1) * comb(m + k - l + 1, 2 * k + 1) * comb(m - k - l, j - k)
+           * comb(m + k + l + 1, k + j + 1) * (den // (comb(m, k) * comb(m, j))) for j in cols]
+    rows, dens = [row], [den]
 
-    for j in range(k, m - l + 1):
-        vh = float((-1) ** (j - k) * (2 * k + 1))
-        vl = 0.0
-        vh, vl = dd_mul_float(vh, vl, binomial(m + k - l + 1, 2 * k + 1))
-        vh, vl = dd_mul_float(vh, vl, binomial(m - k - l, j - k))
-        vh, vl = dd_mul_float(vh, vl, binomial(m + k + l + 1, k + j + 1))
-        vh, vl = dd_div_float(vh, vl, binomial(m, k))
-        hi[0][j - k], lo[0][j - k] = dd_div_float(vh, vl, binomial(m, j))
+    e = lcm(*range(1, m + 2))
 
-    # A and B as exact integer numerator/denominator pairs; dividing by either
-    # is a multiply plus a divide by exactly representable integers.
-    def coef_a(u: int):
-        return float((u - m) * (u - k + 1) * (u + k + 1)), float(u + 1)
+    def e_a(u: int) -> int:
+        return (u - m) * (u - k + 1) * (u + k + 1) * (e // (u + 1))
 
-    def coef_b(u: int):
-        return float(u * (u - m - l - 1) * (u - m + l - 1)), float(u - m - 1)
+    def e_b(u: int) -> int:
+        return u * (u - m - l - 1) * (u - m + l - 1) * (e // (u - m - 1))
 
+    last, prev = len(row) - 1, row
     for i in range(k, m - l):
-        a_num_i, a_den_i = coef_a(i)
         # (i - m) < 0 and (i - k + 1) >= 1 on this range, so A(i) never vanishes.
-        assert a_num_i != 0.0
-        b_num_i, b_den_i = coef_b(i)
-        row_h, row_l = hi[i - k], lo[i - k]
-        nxt_h, nxt_l = hi[i - k + 1], lo[i - k + 1]
-        for j in range(k, m - l + 1):
-            ah, al = dd_mul_float(row_h[j - k], row_l[j - k], float(2 * (i - j) * (i + j - m)))
-            if j - 1 >= k:
-                b_num, b_den = coef_b(j)
-                ph, pl = dd_mul_float(row_h[j - 1 - k], row_l[j - 1 - k], b_num)
-                ph, pl = dd_div_float(ph, pl, b_den)
-                ah, al = dd_add(ah, al, ph, pl)
-            if j + 1 <= m - l:
-                a_num, a_den = coef_a(j)
-                ph, pl = dd_mul_float(row_h[j + 1 - k], row_l[j + 1 - k], a_num)
-                ph, pl = dd_div_float(ph, pl, a_den)
-                ah, al = dd_add(ah, al, ph, pl)
-            if i > k:
-                ph, pl = dd_mul_float(hi[i - k - 1][j - k], lo[i - k - 1][j - k], -b_num_i)
-                ph, pl = dd_div_float(ph, pl, b_den_i)
-                ah, al = dd_add(ah, al, ph, pl)
-            ah, al = dd_mul_float(ah, al, a_den_i)
-            nxt_h[j - k], nxt_l[j - k] = dd_div_float(ah, al, a_num_i)
+        prev_scale = -e_b(i) * e_a(i - 1) if i > k else 0
+        prev, row = row, [
+            2 * e * (i - j) * (i + j - m) * row[c]
+            + (e_b(j) * row[c - 1] if c > 0 else 0)
+            + (e_a(j) * row[c + 1] if c < last else 0)
+            + prev_scale * prev[c]
+            for c, j in enumerate(cols)]
+        rows.append(row)
+        dens.append(dens[-1] * e_a(i))
 
-    c = np.array(hi)
+    hi = [[n / d for n in row] for row, d in zip(rows, dens)]
+    lo = [[(n * q - p * d) / (d * q) for n, (p, q) in zip(row, map(float.as_integer_ratio, row_hi))]
+          for row, d, row_hi in zip(rows, dens, hi)]
+
+    c = _read_only(hi)
     peak = float(np.abs(c).max())
     log.debug("c-table(m=%d, k=%d, l=%d) max |entry| = %.3e", m, k, l, peak)
     if peak > CONDITION_WARN_THRESHOLD:
         log.warning(
             "c-table(m=%d, k=%d, l=%d) entries reach %.3e; "
-            "binary64 results lose roughly %d digits to cancellation",
-            m, k, l, peak, int(np.log10(peak)))
-    c.flags.writeable = False
-    return CTable(m=m, k=k, l=l, coeffs=c)
+            "merged curves lose roughly %d digits to cancellation",
+            m, k, l, peak, int(np.log10(peak) / 2))
+    return CTable(m=m, k=k, l=l, coeffs=c, lo=_read_only(lo))
 
 
 def gram_matrix(m: int, k: int, l: int) -> np.ndarray:

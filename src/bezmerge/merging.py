@@ -9,8 +9,8 @@ the endpoint-derivative formulas; the free middle block is the orthogonal
 projection of the remainder onto the constrained space, computed in the dual
 Bernstein basis and converted back through the c-table. The projection is
 float64 numpy over the product-integral table and the d-table; only the
-contraction against the c-table (a cancelling Gram inverse) is correctly
-rounded. Total cost is O(s m^2).
+contraction against the c-table (a cancelling Gram inverse) is taken against
+the exact table and rounded once per control. Total cost is O(s m^2).
 
 merge_oracle solves the same problem through the normal equations with
 quadrature-evaluated moments; it shares only the endpoint formulas with merge
@@ -159,12 +159,16 @@ def dual_mid_coeffs(
 def mid_controls(hat_r: np.ndarray, ctab: CTable) -> np.ndarray:
     """Bernstein controls r_k..r_{m-l} from dual coefficients: r_j = sum_h hat_r_h c[h][j].
 
-    Each entry is the correctly rounded exact sum: the c-table's large entries
-    cancel, so a plain float64 contraction would add rounding noise of their size.
+    The c-table's large entries cancel, so a plain float64 contraction would add
+    rounding noise of their size. Each entry is instead one math.fsum over the
+    error-free products of hat_r with the rounded table plus the small term
+    (lo.T @ hat_r) for its remainder: the contraction against the exact table,
+    correctly rounded except in rare near-ties.
     """
     size, dim = hat_r.shape
     prods, errs = two_prod(ctab.coeffs[:, :, None], hat_r[:, None, :])
-    terms = np.concatenate([prods, errs]).reshape(2 * size, size * dim)
+    remainder = (ctab.lo.T @ hat_r)[None]
+    terms = np.concatenate([prods, errs, remainder]).reshape(2 * size + 1, size * dim)
     return np.array([math.fsum(col) for col in terms.T.tolist()]).reshape(size, dim)
 
 

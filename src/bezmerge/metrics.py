@@ -10,6 +10,7 @@ to cumulative segment lengths.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class ErrorReport:
     samples: int
 
     def __post_init__(self):
-        if self.e2 < 0.0 or self.e_inf < 0.0:
-            raise ValueError("error measures must be nonnegative")
+        if not (0.0 <= self.e2 < math.inf and 0.0 <= self.e_inf < math.inf):
+            raise ValueError("error measures must be finite and nonnegative")
 
 
 @functools.lru_cache(maxsize=None)

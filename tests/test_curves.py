@@ -37,6 +37,11 @@ class TestBinomial:
         # exact integer arithmetic oracle
         assert binomial(40, 20) == float(math.comb(40, 20)) == 137846528820.0
 
+    def test_correctly_rounded_to_the_bound(self):
+        for n in range(67):
+            for k in range(n + 1):
+                assert binomial(n, k) == float(math.comb(n, k)), (n, k)
+
     def test_pascal_identity(self):
         for n in range(2, 30, 3):
             for k in range(1, n):

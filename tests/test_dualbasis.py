@@ -1,4 +1,6 @@
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,20 +94,31 @@ class TestCTable:
         with pytest.raises(ParameterError):
             c_table(3, 2, 2)
 
-    @pytest.mark.parametrize("m, rel_bound", [(24, 0.0), (32, 1e-13)])
-    def test_rounding_against_exact_inverse(self, exact, m, rel_bound):
-        # every entry is correctly rounded through m = 24; at m = 32 a few are not
-        for k, l in ((0, 0), (0, 1), (1, 3), (2, 2), (3, 3)):
-            inverse, lam = exact.free_gram_inverse(m, k, l)
-            want = np.array([[x / lam for x in row] for row in inverse])
-            got = c_table(m, k, l).coeffs
-            assert np.max(np.abs(got - want) / np.abs(want)) <= rel_bound, (k, l)
+    @pytest.mark.parametrize("m", [24, 28, 32])
+    def test_rounding_against_exact_inverse(self, exact, m):
+        # every entry is the exact inverse correctly rounded, and coeffs + lo is
+        # within half an ulp of lo of the exact value
+        for k in range(4):
+            for l in range(4):
+                inverse, lam = exact.free_gram_inverse(m, k, l)
+                want = [[Fraction(x, lam) for x in row] for row in inverse]
+                table = c_table(m, k, l)
+                np.testing.assert_array_equal(
+                    table.coeffs, [[float(x) for x in row] for row in want])
+                for row, hi_row, lo_row in zip(want, table.coeffs.tolist(), table.lo.tolist()):
+                    for x, hi, lo in zip(row, hi_row, lo_row):
+                        half_ulp = Fraction(math.ulp(lo)) / 2
+                        assert abs(Fraction(hi) + Fraction(lo) - x) <= half_ulp, (k, l)
 
     def test_cached_table_is_shared_and_read_only(self):
         table = c_table(12, 2, 1)
         assert c_table(12, 2, 1) is table
         with pytest.raises(ValueError):
             table.coeffs[0, 0] = 0.0
+
+    def test_remainder_is_read_only(self):
+        with pytest.raises(ValueError):
+            c_table(12, 2, 1).lo[0, 0] = 0.0
 
     def test_conditioning_warning(self, caplog):
         c_table.cache_clear()  # the warning is logged when the table is built

@@ -153,20 +153,20 @@ class TestMidBlock:
         mid = mid_controls(np.array([[1 / 6], [1 / 3]]), c_table(1, 0, 0))
         np.testing.assert_allclose(mid, [[0.0], [1.0]], atol=1e-15)
 
-    def test_correctly_rounded_at_high_degree(self):
-        # the c-table's alternating entries reach 1e19 at m = 32: only a
-        # correctly rounded contraction matches the exact rational sum
+    def test_correctly_rounded_at_high_degree(self, exact):
+        # the c-table's alternating entries reach 1e19 at m = 32: each control is
+        # the correctly rounded contraction against the exact Gram inverse
         rng = np.random.default_rng(23)
         for m, k, l in [(20, 0, 0), (20, 2, 1), (28, 1, 1), (28, 3, 0), (32, 0, 0), (32, 2, 2)]:
-            ctab = c_table(m, k, l)
+            inverse, lam = exact.free_gram_inverse(m, k, l)
             size = m - k - l + 1
             hat_r = rng.standard_normal((size, 2))
             want = [
-                [float(sum(Fraction(ctab.coeffs[h, j]) * Fraction(hat_r[h, co])
-                           for h in range(size))) for co in range(2)]
+                [float(sum(inverse[h][j] * Fraction(hat_r[h, co]) for h in range(size)) / lam)
+                 for co in range(2)]
                 for j in range(size)
             ]
-            np.testing.assert_array_equal(mid_controls(hat_r, ctab), want)
+            np.testing.assert_array_equal(mid_controls(hat_r, c_table(m, k, l)), want)
 
 
 class TestMerge:
@@ -299,3 +299,42 @@ class TestMerge:
         merged = merge(curve, MergeParams(m=m, k=2, l=m - 2))
         assert merged.points.shape == (m + 1, 2)
         assert np.all(np.isfinite(merged.points))
+
+
+def _chain(rng, degrees, joined=True):
+    segments, prev = [], None
+    for n in degrees:
+        pts = rng.random((n + 1, 2))
+        if joined and prev is not None:
+            pts[0] = prev
+        prev = pts[-1]
+        segments.append(pts)
+    return segments
+
+
+class TestMergeAgainstExact:
+    # Bounds are 3-5x the worst measured deviation per m (6.9e-14, 1.5e-12,
+    # 1.5e-11, 2.2e-10, 6.2e-9, 5.3e-8); a merge that contracts against the
+    # rounded c-table measures 5.4e-11, 8.6e-9, 2.6e-6, 3.7e-4, 0.11, 18.
+    @pytest.mark.filterwarnings("ignore:segments 0 and 1 do not join continuously")
+    @pytest.mark.parametrize("m, bound", [(12, 3e-13), (16, 5e-12), (20, 5e-11),
+                                          (24, 1e-9), (28, 3e-8), (32, 2e-7)])
+    def test_curve_deviation(self, exact, m, bound):
+        # curve-level L2 distance to the exact optimum per bbox diagonal: a
+        # cubic + quintic pair for every (k, l) in 0..3, then a 1e-6-wide
+        # interval, a discontinuous join, and s = 1 with k = l = 0
+        rng = np.random.default_rng(m)
+        cases = [(_chain(rng, (3, 5)), [0.0, float(rng.uniform(0.2, 0.8)), 1.0], k, l)
+                 for k in range(4) for l in range(4)]
+        cases += [(_chain(rng, (3, 5, 3)), [0.0, 0.4, 0.4 + 1e-6, 1.0], 2, 1),
+                  (_chain(rng, (3, 5), joined=False), [0.0, 0.6, 1.0], 1, 2),
+                  (_chain(rng, (5,)), [0.0, 1.0], 0, 0)]
+        for segments, knots, k, l in cases:
+            curve = CompositeBezierCurve(
+                segments=tuple(BezierSegment(p) for p in segments), partition=Partition(knots))
+            merged = merge(curve, MergeParams(m=m, k=k, l=l)).points.tolist()
+            want = exact.exact_merge([p.tolist() for p in segments], knots, m, k, l)
+            points = np.vstack(segments)
+            diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+            deviation = float(exact.l2_distance_sq(merged, want, m)) ** 0.5 / diag
+            assert deviation <= bound, (len(segments), knots, k, l, deviation)

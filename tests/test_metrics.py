@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -160,18 +159,29 @@ class TestL2Error:
                 assert l2_error(curve, merged) <= 1e-6 * offset
 
     def test_against_exact_at_high_degree(self, exact):
-        # the squared distance to P raised exactly to degree m, in rationals;
-        # subtracting three large integrals here loses up to 1e-2 relative
+        # two-segment curves split from one curve, then perturbed, so the exact
+        # distance is small (E2 ~ 1e-7..1e-5) but far above float64 rounding of
+        # the inputs; the reference |P|^2 - 2<P,R> + |R|^2 is exact rationals
         rng = np.random.default_rng(0)
-        for n, m, k, l in ((3, 20, 1, 0), (5, 20, 2, 2), (3, 24, 1, 1), (5, 24, 0, 3),
-                           (3, 20, 0, 0), (5, 24, 3, 3), (3, 24, 2, 1), (5, 20, 1, 0)):
-            p = rng.random((n + 1, 2))
-            curve = CompositeBezierCurve(segments=(BezierSegment(p),), partition=Partition([0.0, 1.0]))
-            merged = merge(curve, MergeParams(m=m, k=k, l=l))
-            raised = [[sum(Fraction(comb(n, j) * comb(m - n, h - j), comb(m, h)) * Fraction(p[j, c])
-                           for j in range(max(0, h - m + n), min(n, h) + 1))
-                       for c in range(2)] for h in range(m + 1)]
-            want = float(exact.l2_distance_sq(merged.points.tolist(), raised, m))
+        knots = [0.0, 0.375, 1.0]
+        for n, m, k, l, delta in ((3, 20, 1, 0, 3e-5), (5, 20, 2, 2, 1e-4), (3, 24, 1, 1, 1e-3),
+                                  (5, 24, 0, 3, 3e-5), (3, 20, 0, 0, 1e-4), (5, 24, 3, 3, 1e-3),
+                                  (3, 24, 2, 1, 3e-5), (5, 20, 1, 0, 1e-4)):
+            left, right = _split(rng.random((n + 1, 2)), knots[1])
+            right[1:-1] += delta * rng.standard_normal((n - 1, 2))
+            curve = CompositeBezierCurve(
+                segments=(BezierSegment(left), BezierSegment(right)), partition=Partition(knots))
+            merged = merge(curve, MergeParams(m=m, k=k, l=l, derivative_convention="global"))
+            r = [[Fraction(x) for x in row] for row in merged.points.tolist()]
+            b = exact.inner_products([left.tolist(), right.tolist()], knots, m)
+            p_r = sum(r[j][c] * b[c][j] for c in range(2) for j in range(m + 1))
+            r_r = sum(r[j][c] * r[h][c] * exact.gram(m, j, h)
+                      for c in range(2) for j in range(m + 1) for h in range(m + 1))
+            p_p = sum((Fraction(hi) - Fraction(lo)) * Fraction(pts[q, c]) * Fraction(pts[v, c])
+                      * exact.gram(n, q, v)
+                      for pts, lo, hi in ((left, *knots[:2]), (right, *knots[1:]))
+                      for c in range(2) for q in range(n + 1) for v in range(n + 1))
+            want = float(p_p - 2 * p_r + r_r)
             assert l2_error(curve, merged) ** 2 == pytest.approx(want, rel=1e-9, abs=0.0), (n, m, k, l)
 
     def test_against_quadrature(self):
@@ -192,6 +202,16 @@ class TestL2Error:
                 diff = eval_segment_many(seg, nodes) - eval_segment_many(merged, ts)
                 acc += dt * float(weights @ (diff * diff).sum(axis=1))
             assert e2**2 == pytest.approx(acc, rel=1e-9, abs=1e-14)
+
+
+def _split(points, t):
+    """Controls of a Bezier curve on [0, t] and [t, 1], by de Casteljau."""
+    left, right, cur = [points[0]], [points[-1]], points
+    while len(cur) > 1:
+        cur = (1.0 - t) * cur[:-1] + t * cur[1:]
+        left.append(cur[0])
+        right.append(cur[-1])
+    return np.array(left), np.array(right[::-1])
 
 
 class TestMaxError:
@@ -264,6 +284,13 @@ class TestErrorReport:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ErrorReport(e2=-1.0, e_inf=0.0, samples=500)
+
+    def test_rejects_non_finite(self):
+        # NaN < 0 is false, so a sign check alone lets NaN through
+        nan, inf = float("nan"), float("inf")
+        for e2, e_inf in ((nan, 0.0), (0.0, nan), (inf, 0.0), (0.0, inf)):
+            with pytest.raises(ValueError):
+                ErrorReport(e2=e2, e_inf=e_inf, samples=500)
 
     def test_consistency_on_fixture(self, ampersand):
         merged = merge(ampersand, MergeParams(m=10, k=2, l=1))

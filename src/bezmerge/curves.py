@@ -89,6 +89,8 @@ class Partition:
         kn = np.asarray(self.knots, dtype=float)
         if kn.ndim != 1 or kn.shape[0] < 2:
             raise ValueError("partition needs at least two knots")
+        if not np.all(np.isfinite(kn)):
+            raise ValueError("partition knots must be finite")
         if kn[0] != 0.0 or kn[-1] != 1.0:
             raise ValueError(f"partition must start at 0 and end at 1, got [{kn[0]}, {kn[-1]}]")
         if np.any(np.diff(kn) <= 0.0):
@@ -105,6 +107,19 @@ class Partition:
     def delta(self, i: int) -> float:
         """Width of subinterval i (0-based): t_{i+1} - t_i."""
         return float(self.knots[i + 1] - self.knots[i])
+
+    def locate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Subinterval index and local parameter of each global parameter in [0, 1].
+
+        Interior knots belong to the subinterval on their right; t = 1 belongs to
+        the last one. Returns (idx, us), both shaped like ts.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+            raise DomainError(f"parameters outside [0, 1], from {ts.min()} to {ts.max()}")
+        kn = self.knots
+        idx = np.minimum(np.searchsorted(kn, ts, side="right") - 1, kn.shape[0] - 2)
+        return idx, (ts - kn[idx]) / (kn[idx + 1] - kn[idx])
 
 
 @dataclass(frozen=True)
@@ -175,36 +190,21 @@ def eval_segment_many(seg: BezierSegment, us: np.ndarray) -> np.ndarray:
     return w[0]
 
 
-def _segment_index(knots: np.ndarray, t: float) -> int:
-    # Interior knots belong to the segment on their right; t = 1 uses the last.
-    idx = int(np.searchsorted(knots, t, side="right")) - 1
-    return min(idx, knots.shape[0] - 2)
-
-
 def eval_composite(curve: CompositeBezierCurve, t: float) -> np.ndarray:
     """Point on the composite curve at global parameter t in [0, 1]."""
-    if t < 0.0 or t > 1.0:
-        raise DomainError(f"parameter {t} outside [0, 1]")
-    kn = curve.partition.knots
-    i = _segment_index(kn, t)
-    u = (t - kn[i]) / (kn[i + 1] - kn[i])
-    return eval_segment(curve.segments[i], u)
+    idx, u = curve.partition.locate(t)
+    return eval_segment(curve.segments[idx], u)
 
 
 def eval_composite_many(curve: CompositeBezierCurve, ts: np.ndarray) -> np.ndarray:
     """Vectorized composite evaluation; all parameters must lie in [0, 1]."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
-        raise DomainError("parameters outside [0, 1]")
-    kn = curve.partition.knots
-    idx = np.clip(np.searchsorted(kn, ts, side="right") - 1, 0, kn.shape[0] - 2)
-    out = np.empty((ts.shape[0], curve.dim))
+    idx, us = curve.partition.locate(ts)
+    out = np.empty((us.shape[0], curve.dim))
     for i in range(curve.n_segments):
         mask = idx == i
         if not np.any(mask):
             continue
-        us = (ts[mask] - kn[i]) / (kn[i + 1] - kn[i])
-        out[mask] = eval_segment_many(curve.segments[i], us)
+        out[mask] = eval_segment_many(curve.segments[i], us[mask])
     return out
 
 

@@ -29,6 +29,10 @@ class DegenerateSegmentError(MergeError):
     """A segment has zero arc length (all control points coincide)."""
 
 
+class NonFiniteError(MergeError):
+    """A computed quantity overflowed to infinity or became NaN."""
+
+
 class InternalConsistencyError(MergeError):
     """A computed quantity violates an internal invariant."""
 

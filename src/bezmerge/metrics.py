@@ -1,12 +1,13 @@
 """Approximation errors between a composite curve and its merged replacement.
 
-The L2 distance has a closed form in the control points: restrict the merged
-curve to each knot interval by subdivision, raise it and the segment to one
-degree, and the squared distance is a quadratic form in their control-point
-difference over the Bernstein product-integral coefficients
-a[i][j] = <B^n_i, B^m_j>. The maximum error is sampled on a
-uniform parameter grid. The arc-length partition places knots proportionally
-to cumulative segment lengths.
+Both error measures start from the same per-interval differences: restrict
+the merged curve to each knot interval by subdivision, raise it and the
+segment to one degree q, and subtract control by control. The L2 distance is
+then a closed-form quadratic form in those differences over the Bernstein
+product-integral coefficients a[i][j] = <B^n_i, B^m_j>. The maximum error
+evaluates the same differences on a uniform parameter grid with a degree-q
+Bernstein matrix, whose weights are nonnegative. The arc-length partition
+places knots proportionally to cumulative segment lengths.
 """
 
 import functools
@@ -20,10 +21,9 @@ from .curves import (
     CompositeBezierCurve,
     Partition,
     binomial,
-    eval_composite_many,
     eval_segment_many,
 )
-from .errors import DegenerateSegmentError, InternalConsistencyError
+from .errors import DegenerateSegmentError, InternalConsistencyError, NonFiniteError
 from .quadrature import gauss_legendre_unit
 
 DEFAULT_MAX_ERROR_SAMPLES = 500
@@ -51,14 +51,17 @@ def _pascal(m: int) -> np.ndarray:
     return tri
 
 
+@functools.lru_cache(maxsize=None)
 def a_table(n: int, m: int) -> np.ndarray:
-    """Product-integral coefficients a[i][j] = <B^n_i, B^m_j>, shape (n+1, m+1).
+    """Read-only product-integral coefficients a[i][j] = <B^n_i, B^m_j>, shape (n+1, m+1).
 
     a[i][j] = binom(n,i) binom(m,j) / ((m+n+1) binom(n+m, i+j)).
     """
     tri = _pascal(n + m)
     i_plus_j = np.add.outer(np.arange(n + 1), np.arange(m + 1))
-    return np.outer(tri[n, : n + 1], tri[m, : m + 1]) / ((m + n + 1) * tri[n + m, i_plus_j])
+    a = np.outer(tri[n, : n + 1], tri[m, : m + 1]) / ((m + n + 1) * tri[n + m, i_plus_j])
+    a.flags.writeable = False
+    return a
 
 
 def i_nm(u: np.ndarray, v: np.ndarray, a: np.ndarray) -> float:
@@ -107,20 +110,27 @@ def rho_coeffs(merged: BezierSegment, partition: Partition) -> np.ndarray:
     return from_lo @ to_hi
 
 
+def _interval_diffs(curve: CompositeBezierCurve, merged: BezierSegment) -> np.ndarray:
+    """Segment minus restricted merged curve on each knot interval, shape (s, q+1, d).
+
+    Both are raised to q = max(m, n_max) first, so the difference is taken
+    control by control and no large terms cancel later.
+    """
+    q = max(merged.degree, curve.max_degree)
+    rho = _lift(merged.degree, q) @ rho_coeffs(merged, curve.partition)
+    return np.stack([_lift(seg.degree, q) @ seg.points for seg in curve.segments]) - rho
+
+
 def l2_error(curve: CompositeBezierCurve, merged: BezierSegment) -> float:
     """Closed-form L2 distance between the composite curve and the merged curve.
 
-    On each knot interval both curves are raised to one degree
-    q = max(m, n_max) and subtracted control by control, so no large terms cancel:
-
     E2^2 = sum_i dt_i * sum over coordinates of x_i^T A x_i,
 
-    with x_i the control-point difference on interval i and A = a_table(q, q).
+    with x_i the degree-q control-point difference on interval i (segment minus
+    restricted merged curve, q = max(m, n_max)) and A = a_table(q, q).
     """
-    m = merged.degree
-    q = max(m, curve.max_degree)
-    rho = _lift(m, q) @ rho_coeffs(merged, curve.partition)
-    diffs = np.stack([_lift(seg.degree, q) @ seg.points for seg in curve.segments]) - rho
+    diffs = _interval_diffs(curve, merged)
+    q = diffs.shape[1] - 1
     a_qq = a_table(q, q)
     dts = np.diff(curve.partition.knots)
     total = float(dts @ np.sum(diffs * (a_qq @ diffs), axis=(1, 2)))
@@ -139,12 +149,22 @@ def max_error(
     merged: BezierSegment,
     n_samples: int = DEFAULT_MAX_ERROR_SAMPLES,
 ) -> float:
-    """Maximum Euclidean distance over the grid {0, 1/N, ..., 1}, N = n_samples."""
+    """Maximum Euclidean distance over the grid {0, 1/N, ..., 1}, N = n_samples.
+
+    Each grid point is read on its knot interval (interior knots belong to the
+    interval on their right, t = 1 to the last) as sum_j B^q_j(u) x_ij, the
+    Bernstein form of the same differences x_i that l2_error forms. The weights
+    are nonnegative, so no large terms cancel.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    ts = np.linspace(0.0, 1.0, n_samples + 1)
-    diff = eval_composite_many(curve, ts) - eval_segment_many(merged, ts)
-    return float(np.sqrt((diff * diff).sum(axis=1)).max())
+    diffs = _interval_diffs(curve, merged)
+    q = diffs.shape[1] - 1
+    idx, us = curve.partition.locate(np.linspace(0.0, 1.0, n_samples + 1))
+    powers = np.arange(q + 1)
+    basis = _pascal(q)[q] * us[:, None] ** powers * (1.0 - us)[:, None] ** powers[::-1]
+    vals = (basis[:, None, :] @ diffs[idx])[:, 0]
+    return float(np.sqrt((vals * vals).sum(axis=1)).max())
 
 
 def segment_arc_length(seg: BezierSegment) -> float:
@@ -164,6 +184,8 @@ def arc_length_partition(segments) -> Partition:
         length = segment_arc_length(seg)
         if length <= 0.0:
             raise DegenerateSegmentError(f"segment {i} has zero arc length")
+        if not length < math.inf:
+            raise NonFiniteError(f"segment {i} has arc length {length}, which is not finite")
         lengths.append(length)
     cum = np.cumsum(lengths)
     knots = np.empty(len(segments) + 1)

@@ -227,6 +227,10 @@ class TestTypes:
             Partition([0.1, 1.0])
         with pytest.raises(ValueError):
             Partition([0.0, 0.6, 0.4, 1.0])
+        # NaN compares false both ways, so an ordering check alone lets it through
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Partition([0.0, bad, 1.0])
 
     def test_composite_count_mismatch(self):
         seg = BezierSegment([[0.0], [1.0]])

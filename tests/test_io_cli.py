@@ -7,6 +7,7 @@ from bezmerge import (
     BezierSegment,
     CurveFormatError,
     MergeParams,
+    NonFiniteError,
     ParameterError,
     ValidationError,
     as_composite,
@@ -57,6 +58,11 @@ class TestLoadCurve:
         payload = dict(MINIMAL, partition=[0.0, 0.9, 1.0][:3])
         payload["partition"] = [0.0, 1.0, 1.0][:3]
         with pytest.raises(CurveFormatError, match="increasing"):
+            load_curve(write_json(tmp_path, payload))
+
+    def test_nan_partition(self, tmp_path):
+        payload = dict(MINIMAL, partition=[0.0, float("nan"), 1.0])
+        with pytest.raises(CurveFormatError, match="finite"):
             load_curve(write_json(tmp_path, payload))
 
     def test_malformed_json_reports_line(self, tmp_path):
@@ -142,6 +148,13 @@ class TestRunMerge:
         doc = load_curve(write_json(tmp_path, payload))
         report = run_merge(doc, MergeParams(m=2, k=0, l=0))
         assert report.errors.e2 <= 1e-10
+
+    def test_arc_length_overflow_raises_named_error(self, ampersand_doc):
+        # squared speeds overflow in the arc-length quadrature near 1e200
+        huge = CurveDocument(
+            dimension=2, segments=[BezierSegment(seg.points * 1e200) for seg in ampersand_doc.segments])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            run_merge(huge, MergeParams(m=10, k=2, l=1), partition_mode="arc")
 
     def test_report_roundtrip(self, tmp_path, ampersand_doc):
         report = run_merge(ampersand_doc, MergeParams(m=8, k=2, l=1))

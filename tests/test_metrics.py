@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from bezmerge import (
     arc_length_partition,
     bernstein_eval,
     d_table,
+    eval_composite_many,
     eval_segment,
     eval_segment_many,
     i_nm,
@@ -23,9 +25,11 @@ from bezmerge import (
     rho_coeffs,
     segment_arc_length,
 )
+from bezmerge.bench import random_instance
 from bezmerge.quadrature import gauss_legendre_unit
 
 from conftest import random_composite
+from test_acceptance import TABLE2_AMPERSAND, TABLE3_PENGUIN_LEFT, TABLE3_PENGUIN_RIGHT
 
 
 class TestATable:
@@ -51,6 +55,10 @@ class TestATable:
 
     def test_transpose_symmetry(self):
         np.testing.assert_allclose(a_table(4, 9), a_table(9, 4).T, rtol=1e-15)
+
+    def test_cached_table_is_shared_and_read_only(self):
+        assert a_table(3, 12) is a_table(3, 12)
+        assert not a_table(3, 12).flags.writeable
 
 
 class TestInm:
@@ -214,6 +222,36 @@ def _split(points, t):
     return np.array(left), np.array(right[::-1])
 
 
+def _two_curve_max_error(curve, merged, n_samples):
+    """Reference: evaluate both curves on the grid, then subtract."""
+    ts = np.linspace(0.0, 1.0, n_samples + 1)
+    diff = eval_composite_many(curve, ts) - eval_segment_many(merged, ts)
+    return float(np.sqrt((diff * diff).sum(axis=1)).max())
+
+
+def _exact_bezier(points, u):
+    """Bezier curve with float controls at a rational u, in exact rationals."""
+    a, b = u.numerator, u.denominator
+    n = len(points) - 1
+    w = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+    return [sum(wj * Fraction(p[c]) for wj, p in zip(w, points)) / b**n
+            for c in range(len(points[0]))]
+
+
+def _exact_max_error(curve, merged, n_samples):
+    """max_error's grid and interval rule, evaluated in exact rationals and rounded once."""
+    kn = [Fraction(x) for x in curve.partition.knots.tolist()]
+    segs = [seg.points.tolist() for seg in curve.segments]
+    r = merged.points.tolist()
+    worst = Fraction(0)
+    for t in map(Fraction, np.linspace(0.0, 1.0, n_samples + 1).tolist()):
+        i = max(j for j in range(len(segs)) if kn[j] <= t)
+        p = _exact_bezier(segs[i], (t - kn[i]) / (kn[i + 1] - kn[i]))
+        x = [a - b for a, b in zip(p, _exact_bezier(r, t))]
+        worst = max(worst, sum(c * c for c in x))
+    return math.sqrt(worst)
+
+
 class TestMaxError:
     def test_identical_curves(self):
         rng = np.random.default_rng(20)
@@ -242,6 +280,60 @@ class TestMaxError:
         merged = merge(ampersand, MergeParams(m=8, k=2, l=1))
         with pytest.raises(ValueError):
             max_error(ampersand, merged, 0)
+
+    def test_matches_two_curve_evaluation_on_paper_rows(self, ampersand, penguin_left, penguin_right):
+        for curve, rows in ((ampersand, TABLE2_AMPERSAND), (penguin_left, TABLE3_PENGUIN_LEFT),
+                            (penguin_right, TABLE3_PENGUIN_RIGHT)):
+            for m, k, l, _, _ in rows:
+                merged = merge(curve, MergeParams(m=m, k=k, l=l))
+                want = _two_curve_max_error(curve, merged, 500)
+                assert max_error(curve, merged, 500) == pytest.approx(want, rel=1e-12), (m, k, l)
+
+    def test_matches_two_curve_evaluation_on_long_chain(self):
+        curve = random_instance(32, 16, np.random.default_rng(32))
+        merged = merge(curve, MergeParams(m=16, k=1, l=2))
+        want = _two_curve_max_error(curve, merged, 500)
+        assert max_error(curve, merged, 500) == pytest.approx(want, rel=1e-12)
+
+    def test_knot_on_grid_is_read_from_the_right(self):
+        # a jump at the knot t = 0.5, which is grid point 250 of 500: the first
+        # curve's largest distance, 5, is only reached by reading t = 0.5 from the
+        # right-hand segment; the second's, 7, only at t = 1 on the last segment
+        left = BezierSegment([[0.0], [0.0]])
+        zero = BezierSegment([[0.0], [0.0]])
+        for right, want in (([[5.0], [4.0]], 5.0), ([[1.0], [7.0]], 7.0)):
+            with pytest.warns(UserWarning):
+                curve = CompositeBezierCurve(
+                    segments=(left, BezierSegment(right)), partition=Partition([0.0, 0.5, 1.0]))
+            assert max_error(curve, zero, 500) == want
+            assert _two_curve_max_error(curve, zero, 500) == want
+
+    # Distance per bbox diagonal from the exact maximum on the same grid, seeded
+    # instances; measured here and, in brackets, with the former two-curve path.
+    # Each bound is at most 10x the measured value.
+    @pytest.mark.parametrize("n, m, k, l, s, bound", [
+        (3, 20, 1, 1, 2, 1e-13),   # 1.1e-14 (1.8e-15)
+        (5, 20, 2, 1, 2, 3e-13),   # 4.0e-14 (1.4e-14)
+        (3, 32, 1, 2, 2, 1e-10),   # 1.2e-11 (5.5e-12)
+        (5, 32, 3, 3, 2, 3e-10),   # 5.1e-11 (1.1e-12)
+        (3, 32, 1, 1, 1, 7e-17),   # 7.7e-18 (3.5e-16); e_inf 2.4e-8
+        (5, 20, 0, 0, 1, 1e-17),   # 0 (0); e_inf 8.1e-11, a reproduction at rounding level
+    ], ids=["m20-s2-cubic", "m20-s2-quintic", "m32-s2-cubic", "m32-s2-quintic",
+            "m32-s1-cubic", "m20-s1-quintic-rounding"])
+    def test_against_exact_on_grid(self, n, m, k, l, s, bound):
+        rng = np.random.default_rng(0)
+        segs = [rng.random((n + 1, 2))]
+        knots = [0.0, 1.0]
+        if s == 2:
+            segs.append(rng.random((n + 1, 2)))
+            segs[1][0] = segs[0][-1]
+            knots = [0.0, 0.4, 1.0]
+        curve = CompositeBezierCurve(
+            segments=tuple(map(BezierSegment, segs)), partition=Partition(knots))
+        merged = merge(curve, MergeParams(m=m, k=k, l=l))
+        want = _exact_max_error(curve, merged, 100)
+        got = max_error(curve, merged, 100)
+        assert abs(got - want) <= bound * curve.bounding_box_diagonal(), (got, want)
 
 
 class TestArcLengthPartition:
